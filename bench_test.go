@@ -16,6 +16,7 @@ package itv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -218,6 +219,71 @@ func (s *netStats) report(b *testing.B) {
 	d := s.src.Stats().Sub(s.before)
 	b.ReportMetric(float64(d.BytesSent)/float64(b.N), "wire_B/op")
 	b.ReportMetric(float64(d.FramesSent)/float64(b.N), "frames/op")
+}
+
+// BenchmarkTransportRTT is the bottom rung of the performance ladder: one
+// 16-byte frame echoed over a raw transport connection, with no ORB above
+// it.  The memnet case prices the simulated link itself; the tcp case the
+// loopback stack the deployed servers use.  Both ends reuse their buffers,
+// so the steady state allocates nothing.
+func BenchmarkTransportRTT(b *testing.B) {
+	b.Run("memnet", func(b *testing.B) {
+		nw := transport.NewNetwork()
+		benchRTT(b, nw.Host("192.168.0.1"), nw.Host("10.1.0.5"))
+	})
+	b.Run("tcp", func(b *testing.B) { benchRTT(b, transport.TCP(), transport.TCP()) })
+}
+
+func benchRTT(b *testing.B, server, client transport.Transport) {
+	ln, addr, err := server.Listen()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		var buf, echo []byte
+		for {
+			frame, err := wire.ReadFrameInto(c, buf)
+			if err != nil {
+				return
+			}
+			buf = frame
+			echo = append(binary.BigEndian.AppendUint32(echo[:0], uint32(len(frame))), frame...)
+			if _, err := c.Write(echo); err != nil {
+				return
+			}
+		}
+	}()
+	c, err := client.Dial(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	out := append(binary.BigEndian.AppendUint32(nil, 16), make([]byte, 16)...)
+	var in []byte
+	rtt := func() {
+		if _, err := c.Write(out); err != nil {
+			b.Fatal(err)
+		}
+		frame, err := wire.ReadFrameInto(c, in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		in = frame
+	}
+	for i := 0; i < 8; i++ {
+		rtt()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rtt()
+	}
 }
 
 // BenchmarkORBInvoke measures one remote method invocation round trip over

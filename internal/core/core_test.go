@@ -288,6 +288,26 @@ func TestElectorCleanCloseHandsOver(t *testing.T) {
 	f.waitFor("B takes over after clean handoff", eB.IsPrimary)
 }
 
+// A crashed primary stops reporting itself primary at once, while its
+// binding stays in the name space for the audit to remove (§4.7).
+func TestElectorAbandonLeavesBindingNotPrimary(t *testing.T) {
+	f := newFixture(t)
+	a := startEcho(t, f.nw, "192.168.0.1")
+	defer a.ep.Close()
+	sess := NewSession(a.ep, f.replica.RootRef(), f.clk)
+	e := sess.NewElector("svc-crash", a.ref)
+	e.Start()
+	f.waitFor("primary", e.IsPrimary)
+
+	e.Abandon()
+	if e.IsPrimary() {
+		t.Fatal("abandoned replica still reports primary")
+	}
+	if got, err := f.session.Root.Resolve("svc-crash"); err != nil || got != a.ref {
+		t.Fatalf("binding after abandon = %v, %v; want it left for the audit", got, err)
+	}
+}
+
 func TestElectorDemotion(t *testing.T) {
 	f := newFixture(t)
 	a := startEcho(t, f.nw, "192.168.0.1")

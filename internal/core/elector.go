@@ -68,7 +68,9 @@ func (e *Elector) Start() {
 	go e.run()
 }
 
-// IsPrimary reports whether this replica currently holds the binding.
+// IsPrimary reports whether this replica currently holds the binding and
+// serves as primary.  A replica shut down by Close or Abandon reports false,
+// even while its abandoned binding waits for the audit.
 func (e *Elector) IsPrimary() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -98,13 +100,16 @@ func (e *Elector) shutdown() (wasPrimary bool) {
 		return false
 	}
 	e.closed = true
-	wasPrimary = e.primary
 	started := e.started
 	e.mu.Unlock()
 	close(e.stop)
 	if started {
 		<-e.done
 	}
+	e.mu.Lock()
+	wasPrimary = e.primary
+	e.primary = false
+	e.mu.Unlock()
 	return wasPrimary
 }
 

@@ -144,6 +144,9 @@ func E7RecoveryStorm() *Table {
 	return t
 }
 
+// stormWindow is how long the popular binding stays missing, in real time.
+const stormWindow = 60 * time.Millisecond
+
 func storm(n int, backoff time.Duration) (nsReqs int64, recovered int64, wall time.Duration) {
 	f, err := newNSFixture()
 	if err != nil {
@@ -175,8 +178,12 @@ func storm(n int, backoff time.Duration) (nsReqs int64, recovered int64, wall ti
 		}
 		closers = append(closers, cl)
 		rb := sess.Service("popular")
-		rb.MaxAttempts = 500
-		rb.Backoff = backoff
+		if backoff > 0 {
+			// Backoff clients sleep on the fake clock, which the storm
+			// pumps, so an attempt budget is a simulated-time budget.
+			rb.MaxAttempts = 500
+			rb.Backoff = backoff
+		}
 		if err := rb.Invoke("echo", func(e *wire.Encoder) { e.PutString("warm") },
 			func(d *wire.Decoder) error { _ = d.String(); return nil }); err != nil {
 			return -1, 0, 0
@@ -199,14 +206,31 @@ func storm(n int, backoff time.Duration) (nsReqs int64, recovered int64, wall ti
 	start := rt.Now()
 	var ok atomic.Int64
 	var wg sync.WaitGroup
+	// bound closes once the replacement is bound: the end of the storm.
+	// The bind itself queues behind the storm's resolves, so the storm
+	// lasts longer than stormWindow, and the more so the more clients
+	// retry without backoff.
+	bound := make(chan struct{})
 	for _, rb := range rebinders {
 		wg.Add(1)
 		go func(rb *core.Rebinder) {
 			defer wg.Done()
-			err := rb.Invoke("echo", func(e *wire.Encoder) { e.PutString("again") },
-				func(d *wire.Decoder) error { _ = d.String(); return nil })
-			if err == nil {
-				ok.Add(1)
+			for {
+				stormOver := isClosed(bound)
+				err := rb.Invoke("echo", func(e *wire.Encoder) { e.PutString("again") },
+					func(d *wire.Decoder) error { _ = d.String(); return nil })
+				if err == nil {
+					ok.Add(1)
+					return
+				}
+				// A no-backoff client spins through its attempts as fast
+				// as the transport answers, so an attempt count would say
+				// nothing about how long it kept trying.  It retries for
+				// the storm's duration instead, and gives up only when a
+				// call begun after the storm failed.
+				if backoff > 0 || stormOver {
+					return
+				}
 			}
 		}(rb)
 	}
@@ -215,7 +239,8 @@ func storm(n int, backoff time.Duration) (nsReqs int64, recovered int64, wall ti
 	// genuinely retry against a missing binding (the backup-bind delay of
 	// §5.2); pump the fake clock meanwhile so backoff sleeps elapse.
 	go func() {
-		rt.Sleep(60 * time.Millisecond)
+		defer close(bound)
+		rt.Sleep(stormWindow)
 		svcEp2, err := orb.NewEndpoint(f.nw.Host("192.168.0.1"))
 		if err != nil {
 			return
@@ -233,6 +258,15 @@ func storm(n int, backoff time.Duration) (nsReqs int64, recovered int64, wall ti
 			f.clk.Advance(500 * time.Millisecond)
 			f.clk.Settle()
 		}
+	}
+}
+
+func isClosed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
 	}
 }
 

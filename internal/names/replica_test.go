@@ -335,6 +335,23 @@ func TestConcurrentBindsSerialized(t *testing.T) {
 	}
 }
 
+// An audit eviction names the dead ref it checked, so it cannot remove a
+// replacement that bound the name after the check.
+func TestAuditUnbindSparesReplacement(t *testing.T) {
+	s := newStore()
+	dead := oref.Ref{Addr: "h:1", Incarnation: 1, TypeID: "t"}
+	live := oref.Ref{Addr: "h:1", Incarnation: 2, TypeID: "t"}
+	if _, _, _, err := s.apply(&update{Op: opBind, Ctx: RootContextID, Name: "svc", Ref: live}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := s.apply(&update{Op: opUnbind, Ctx: RootContextID, Name: "svc", Ref: dead}); err == nil {
+		t.Fatal("eviction of the dead ref removed its replacement")
+	}
+	if _, _, _, err := s.apply(&update{Op: opUnbind, Ctx: RootContextID, Name: "svc", Ref: live}); err != nil {
+		t.Fatalf("eviction of the bound ref: %v", err)
+	}
+}
+
 func TestSnapshotRoundTripProperty(t *testing.T) {
 	// Random stores survive snapshot/restore byte-identically.
 	f := func(names []string, replFlags []bool) bool {

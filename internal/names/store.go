@@ -73,7 +73,7 @@ type update struct {
 	Op     uint64
 	Ctx    string // target context id
 	Name   string
-	Ref    oref.Ref // opBind, opSetSelector
+	Ref    oref.Ref // opBind, opSetSelector; opUnbind: remove only this binding
 	NewID  string   // opNewContext
 	Repl   bool     // opNewContext
 	Policy string   // opNewContext
@@ -122,7 +122,7 @@ func (s *store) apply(u *update) (created, removed []string, adopted uint64, err
 		ctx.bindings[u.Name] = entry{ref: u.Ref, trace: adopted}
 	case opUnbind:
 		e, exists := ctx.bindings[u.Name]
-		if !exists {
+		if !exists || (!u.Ref.IsNil() && !u.Ref.Equal(e.ref)) {
 			return nil, nil, 0, errNotFound(u.Name)
 		}
 		delete(ctx.bindings, u.Name)

@@ -169,8 +169,10 @@ func (h *Health) Start(clk clock.Clock, interval time.Duration) {
 	h.mu.Unlock()
 
 	h.Sample(clk.Now()) // prime the baseline at start time
+	// The ticker exists before Start returns, so a clock advance that
+	// follows Start is never lost to the goroutine's scheduling.
+	t := clk.NewTicker(interval)
 	go func() {
-		t := clk.NewTicker(interval)
 		defer t.Stop()
 		for {
 			select {

@@ -61,6 +61,7 @@ type Controller struct {
 	mu        sync.Mutex
 	specs     map[string]ServiceSpec
 	running   map[string]*running
+	starting  map[string]bool    // launches in progress: a second start is refused
 	objects   map[int][]oref.Ref // pid -> objects from notifyReady
 	callbacks []oref.Ref
 	restarts  int64
@@ -85,6 +86,7 @@ func New(tr transport.Transport, clk clock.Clock) (*Controller, error) {
 		tbl:          proc.NewTable(),
 		specs:        make(map[string]ServiceSpec),
 		running:      make(map[string]*running),
+		starting:     make(map[string]bool),
 		objects:      make(map[int][]oref.Ref),
 		RestartDelay: time.Second,
 	}
@@ -152,22 +154,30 @@ func (c *Controller) StartService(name string) error {
 		c.mu.Unlock()
 		return orb.Errf(orb.ExcNotFound, "no service spec %q", name)
 	}
-	if r, exists := c.running[name]; exists && !r.p.Exited() {
+	if r, exists := c.running[name]; (exists && !r.p.Exited()) || c.starting[name] {
 		c.mu.Unlock()
-		return orb.Errf(orb.ExcAlreadyBound, "service %q already running", name)
+		return orb.Errf(orb.ExcAlreadyBound, "service %q already running or starting", name)
 	}
+	c.starting[name] = true
 	c.mu.Unlock()
 	return c.launch(spec)
 }
 
+// launch starts one instance of spec.  The caller has claimed spec.Name in
+// c.starting, so concurrent starts (the CSC's reconcile, an operator, a
+// restart) cannot launch a second instance that nothing would track.
 func (c *Controller) launch(spec ServiceSpec) error {
 	p := c.tbl.Spawn(spec.Name)
 	if err := spec.Start(p, c); err != nil {
 		p.Kill()
 		c.reapObjects(p)
+		c.mu.Lock()
+		delete(c.starting, spec.Name)
+		c.mu.Unlock()
 		return err
 	}
 	c.mu.Lock()
+	delete(c.starting, spec.Name)
 	c.running[spec.Name] = &running{p: p}
 	n := len(c.running)
 	c.mu.Unlock()
@@ -205,10 +215,11 @@ func (c *Controller) monitor(spec ServiceSpec, p *proc.Process) {
 		c.mu.Unlock()
 		return
 	}
-	if _, raced := c.running[spec.Name]; raced {
+	if _, raced := c.running[spec.Name]; raced || c.starting[spec.Name] {
 		c.mu.Unlock()
 		return
 	}
+	c.starting[spec.Name] = true
 	c.restarts++
 	c.mu.Unlock()
 	obs.Node(c.tr.Host()).Counter("ssc_restarts").Inc()

@@ -22,6 +22,8 @@ type testService struct {
 	lastRef  oref.Ref
 	lastPID  int
 	failNext bool
+	gate     chan struct{} // when set, the first Start waits for it to close
+	entered  chan struct{} // receives once that Start is waiting on gate
 }
 
 func (ts *testService) spec(nw *transport.Network, host string) ServiceSpec {
@@ -32,7 +34,15 @@ func (ts *testService) spec(nw *transport.Network, host string) ServiceSpec {
 			fail := ts.failNext
 			ts.failNext = false
 			ts.starts++
+			gate := ts.gate
+			if ts.starts > 1 {
+				gate = nil
+			}
 			ts.mu.Unlock()
+			if gate != nil {
+				ts.entered <- struct{}{}
+				<-gate
+			}
 			if fail {
 				return errors.New("injected start failure")
 			}
@@ -125,6 +135,33 @@ func TestStartAndStopService(t *testing.T) {
 	f.clk.Settle()
 	if n := f.ts.startCount(); n != 1 {
 		t.Fatalf("starts = %d after deliberate stop, want 1", n)
+	}
+}
+
+// A start that arrives while another is still launching is refused, so
+// concurrent starters (the CSC's reconcile and an operator) never leave a
+// second, untracked instance running.
+func TestConcurrentStartLaunchesOnce(t *testing.T) {
+	f := newFixture(t)
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
+	f.ts.mu.Lock()
+	f.ts.gate, f.ts.entered = gate, entered
+	f.ts.mu.Unlock()
+	first := make(chan error, 1)
+	go func() { first <- f.ctl.StartService("echo") }()
+	<-entered
+	if err := f.ctl.StartService("echo"); !orb.IsApp(err, orb.ExcAlreadyBound) {
+		t.Fatalf("start during a launch = %v, want AlreadyBound", err)
+	}
+	close(gate)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if n := f.ts.startCount(); n != 1 {
+		t.Fatalf("starts = %d, want 1", n)
+	}
+	if err := f.ctl.StartService("echo"); !orb.IsApp(err, orb.ExcAlreadyBound) {
+		t.Fatalf("start while running = %v, want AlreadyBound", err)
 	}
 }
 

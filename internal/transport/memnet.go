@@ -3,9 +3,11 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Errors returned by the in-memory network.  They satisfy net.Error-style
@@ -14,12 +16,16 @@ var (
 	ErrRefused     = errors.New("memnet: connection refused")
 	ErrUnreachable = errors.New("memnet: host unreachable")
 	ErrClosed      = errors.New("memnet: use of closed network")
+	ErrReset       = errors.New("memnet: connection reset by host failure")
 )
 
-// Network is an in-memory internetwork of synthetic hosts.  It supports
-// injected host failures (Cut/Restore), which sever existing connections
-// and refuse new ones — the observable behaviour of a crashed server or
-// settop from its peers' point of view.
+// Network is an in-memory internetwork of synthetic hosts.  Each
+// connection is a pair of buffered, windowed links (link.go): a sender
+// hands its bytes to the network and moves on, as it would on the paper's
+// ATM/FDDI network, instead of waiting for the receiver's goroutine.  It
+// supports injected host failures (Cut/Restore), which sever existing
+// connections and refuse new ones — the observable behaviour of a crashed
+// server or settop from its peers' point of view.
 type Network struct {
 	mu        sync.Mutex
 	listeners map[string]*memListener // addr -> listener
@@ -61,8 +67,9 @@ func (n *Network) host(ip string) *hostState {
 // host if needed.
 func (n *Network) Host(ip string) Transport { return &memHost{net: n, ip: ip} }
 
-// Cut fails the host: all its connections are severed and dials to or from
-// it are refused until Restore.  Listeners stay registered, mirroring a
+// Cut fails the host: all its connections are severed, dropping the bytes
+// still undelivered in either direction, and dials to or from it are
+// refused until Restore.  Listeners stay registered, mirroring a
 // crashed machine whose services restart with the same address when the
 // machine comes back.
 func (n *Network) Cut(ip string) {
@@ -75,7 +82,7 @@ func (n *Network) Cut(ip string) {
 	}
 	n.mu.Unlock()
 	for _, c := range conns {
-		c.Close()
+		c.shut(ErrReset)
 	}
 }
 
@@ -168,10 +175,9 @@ func (h *memHost) Dial(addr string) (net.Conn, error) {
 	clientAddr := fmt.Sprintf("%s:%d", h.ip, srcPort)
 
 	dstCtr := countersFor(dstIP)
-	p1, p2 := net.Pipe()
-	client := &memConn{Conn: p1, net: h.net, local: memAddr(clientAddr), remote: memAddr(addr), hostIP: h.ip, ctr: ctr}
-	server := &memConn{Conn: p2, net: h.net, local: memAddr(addr), remote: memAddr(clientAddr), hostIP: dstIP, ctr: dstCtr}
-	client.peer, server.peer = server, client
+	up, down := newHalf(), newHalf()
+	client := &memConn{in: down, out: up, net: h.net, local: memAddr(clientAddr), remote: memAddr(addr), hostIP: h.ip, ctr: ctr}
+	server := &memConn{in: up, out: down, net: h.net, local: memAddr(addr), remote: memAddr(clientAddr), hostIP: dstIP, ctr: dstCtr}
 	src.conns[client] = struct{}{}
 	dst.conns[server] = struct{}{}
 	h.net.mu.Unlock()
@@ -232,22 +238,39 @@ type memAddr string
 func (a memAddr) Network() string { return "mem" }
 func (a memAddr) String() string  { return string(a) }
 
+// memConn is one end of a memnet connection: it reads its peer's
+// outgoing half and writes its own.
 type memConn struct {
-	net.Conn
-	net    *Network
-	local  memAddr
-	remote memAddr
-	hostIP string
-	ctr    *netCounters
-	peer   *memConn
-	closed sync.Once
+	in, out *half
+	net     *Network
+	local   memAddr
+	remote  memAddr
+	hostIP  string
+	ctr     *netCounters
+	closed  sync.Once
 }
 
 func (c *memConn) LocalAddr() net.Addr  { return c.local }
 func (c *memConn) RemoteAddr() net.Addr { return c.remote }
 
+func (c *memConn) SetDeadline(t time.Time) error {
+	c.in.rdl.set(t)
+	c.out.wdl.set(t)
+	return nil
+}
+
+func (c *memConn) SetReadDeadline(t time.Time) error {
+	c.in.rdl.set(t)
+	return nil
+}
+
+func (c *memConn) SetWriteDeadline(t time.Time) error {
+	c.out.wdl.set(t)
+	return nil
+}
+
 func (c *memConn) Write(b []byte) (int, error) {
-	n, err := c.Conn.Write(b)
+	n, err := c.out.write(b)
 	c.net.bytesSent.Add(int64(n))
 	c.ctr.bytesSent.Add(int64(n))
 	c.ctr.framesSent.Inc()
@@ -255,28 +278,36 @@ func (c *memConn) Write(b []byte) (int, error) {
 }
 
 func (c *memConn) Read(b []byte) (int, error) {
-	n, err := c.Conn.Read(b)
+	n, err := c.in.read(b)
 	if n > 0 {
 		c.ctr.bytesRecv.Add(int64(n))
 	}
 	return n, err
 }
 
+// Close closes both directions from this end.  The peer still reads every
+// byte this end wrote, then io.EOF; its writes fail.
 func (c *memConn) Close() error {
-	var err error
+	c.shut(nil)
+	return nil
+}
+
+// shut closes the connection once.  A nil reset is an orderly close; a
+// host failure passes ErrReset, which drops the bytes undelivered in both
+// directions and fails both ends.
+func (c *memConn) shut(reset error) {
 	c.closed.Do(func() {
 		c.net.mu.Lock()
 		if h, ok := c.net.hosts[c.hostIP]; ok {
 			delete(h.conns, c)
 		}
 		c.net.mu.Unlock()
-		err = c.Conn.Close()
-		// A severed pipe must fail on both ends; closing ours unblocks the
-		// peer's reads with an error, and we also proactively close it so
-		// its host bookkeeping is cleaned up.
-		if c.peer != nil {
-			go c.peer.Close()
+		if reset != nil {
+			c.out.fail(reset)
+			c.in.fail(reset)
+			return
 		}
+		c.out.closeWrite()
+		c.in.fail(io.ErrClosedPipe)
 	})
-	return err
 }

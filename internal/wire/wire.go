@@ -340,8 +340,8 @@ func WriteFrame(w io.Writer, payload []byte) error {
 		return ErrTooLarge
 	}
 	// One Write per frame: a single buffer avoids a second syscall (or
-	// net.Pipe rendezvous on memnet) per message, and lets the transport
-	// layer count frames by counting Write calls.
+	// memnet link wake-up) per message, and lets the transport layer count
+	// frames by counting Write calls.
 	buf := make([]byte, 4+len(payload))
 	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
 	copy(buf[4:], payload)
@@ -381,11 +381,16 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 // caller must finish with (or hand off ownership of) one frame before
 // reading the next into the same buffer.
 func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header lands in buf's storage too: a local array would escape
+	// through the io.Reader interface and cost an allocation per frame.
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrameSize {
 		return nil, ErrTooLarge
 	}
